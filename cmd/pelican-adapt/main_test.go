@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/data"
 	"repro/internal/models"
@@ -85,7 +84,7 @@ func TestAdaptSidecarEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serve.New(a, serve.Config{Replicas: 2, MaxBatch: 16, MaxWait: time.Millisecond})
+	srv, err := serve.New(a, serve.Config{Replicas: 2, MaxBatch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,8 +55,7 @@ func run(args []string, out io.Writer) error {
 		addr       = fs.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
 		wireAddr   = fs.String("wire-addr", "", "also serve the binary wire transport on this address (e.g. 127.0.0.1:9090; empty disables)")
 		replicas   = fs.Int("replicas", 2, "detector replicas (scoring shards) per model slot")
-		maxBatch   = fs.Int("max-batch", 32, "dynamic batcher flush size")
-		maxWait    = fs.Duration("max-wait", 2*time.Millisecond, "dynamic batcher flush deadline")
+		maxBatch   = fs.Int("max-batch", 32, "dynamic batcher size cap")
 		queue      = fs.Int("queue", 1024, "batcher queue depth per slot (requests block when full)")
 		maxBody    = fs.Int64("max-body", 4<<20, "request body size cap in bytes (413 beyond)")
 		engine     = fs.String("engine", "f32", "scoring engine: f32 (compiled float32 inference plan) or f64 (training graph)")
@@ -97,7 +96,7 @@ func run(args []string, out io.Writer) error {
 		})
 	}
 	cfg := serve.Config{
-		Replicas: *replicas, MaxBatch: *maxBatch, MaxWait: *maxWait, QueueDepth: *queue,
+		Replicas: *replicas, MaxBatch: *maxBatch, QueueDepth: *queue,
 		MaxBodyBytes: *maxBody, Engine: *engine, MirrorOff: *noMirror,
 		RequestTimeout: *reqTimeout, AdmitWatermark: *watermark,
 		TraceCap: *traceCap, ObsOff: *obsOff,
@@ -180,7 +179,7 @@ func runServer(out io.Writer, model, shadow, addr, wireAddr string, cfg serve.Co
 		fmt.Fprintf(out, "serving (no live model) on http://%s\n", ln.Addr())
 	}
 	info := srv.Info()
-	fmt.Fprintf(out, "engine=%s replicas=%d max-batch=%d max-wait=%s\n", info.Engine, info.Replicas, info.MaxBatch, cfg.MaxWait)
+	fmt.Fprintf(out, "engine=%s replicas=%d max-batch=%d\n", info.Engine, info.Replicas, info.MaxBatch)
 	fmt.Fprintf(out, "registry: /v2/models (list), /v2/load?tag= (stage), /v2/promote, /v2/rollback\n")
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/data"
 	"repro/internal/models"
@@ -69,7 +68,7 @@ func TestLoadgenAgainstLiveServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serve.New(a, serve.Config{Replicas: 2, MaxBatch: 16, MaxWait: time.Millisecond})
+	srv, err := serve.New(a, serve.Config{Replicas: 2, MaxBatch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,7 +99,7 @@ func TestClosedLoopDriftRetrainHotReload(t *testing.T) {
 
 	art := trainTinyArtifact(t, baseGen, 1500, 8, 21)
 
-	srv, err := serve.New(art, serve.Config{Replicas: 2, MaxBatch: 16, MaxWait: time.Millisecond})
+	srv, err := serve.New(art, serve.Config{Replicas: 2, MaxBatch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestGatedPromotionRejectsWorseRetrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	art := trainTinyArtifact(t, gen, 1200, 8, 41)
-	srv, err := serve.New(art, serve.Config{Replicas: 1, MaxBatch: 16, MaxWait: time.Millisecond})
+	srv, err := serve.New(art, serve.Config{Replicas: 1, MaxBatch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestGateOffRestoresUnconditionalPublish(t *testing.T) {
 		t.Fatal(err)
 	}
 	art := trainTinyArtifact(t, gen, 600, 3, 43)
-	srv, err := serve.New(art, serve.Config{Replicas: 1, MaxBatch: 16, MaxWait: time.Millisecond})
+	srv, err := serve.New(art, serve.Config{Replicas: 1, MaxBatch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,7 +139,7 @@ func RunTransportBench(p Profile, log io.Writer) (*TransportBenchResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	srv, err := serve.New(a, serve.Config{Replicas: 2, MaxBatch: 64, MaxWait: time.Millisecond, ObsOff: true})
+	srv, err := serve.New(a, serve.Config{Replicas: 2, MaxBatch: 64, ObsOff: true})
 	if err != nil {
 		return nil, err
 	}

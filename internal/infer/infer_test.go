@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -329,6 +330,70 @@ func TestDetectorMatchesModelDetector(t *testing.T) {
 	}
 	if mismatch > 1 {
 		t.Fatalf("%d verdict mismatches over %d records", mismatch, len(recs))
+	}
+}
+
+// TestBatchSplitInvariance pins that where the serving batcher cuts a
+// stream of records cannot change any verdict: scoring N records as one
+// batch gives bit-identical logits and verdicts to scoring them in
+// sub-batches of 1, 3, 5 or 64 rows, or of random sizes. Odd sizes put
+// rows in the GEMM's single-row remainder tile instead of a 2-row tile.
+func TestBatchSplitInvariance(t *testing.T) {
+	net, pipe, gen := trainSmallResidualNet(t)
+	plan, err := Compile(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 201
+	corpus := gen.Generate(n, 7)
+	f, classes := pipe.Width(), plan.Classes()
+	recs := make([]*data.Record, n)
+	x := make([]float32, n*f)
+	row := make([]float64, f)
+	for i := range corpus.Records {
+		recs[i] = &corpus.Records[i]
+		pipe.ApplyInto(recs[i], row)
+		for j, v := range row {
+			x[i*f+j] = float32(v)
+		}
+	}
+	eng := plan.NewEngine()
+	want := append([]float32(nil), eng.Forward(x, n)...)
+	det := NewDetector("pelican", pipe, plan)
+	wantV := make([]nids.Verdict, n)
+	det.DetectBatch(recs, wantV)
+
+	type split struct {
+		name  string
+		sizes func() int
+	}
+	rng := rand.New(rand.NewSource(8))
+	splits := []split{{name: "random", sizes: func() int { return 1 + rng.Intn(64) }}}
+	for _, size := range []int{1, 3, 5, 64} {
+		size := size
+		splits = append(splits, split{name: fmt.Sprintf("size %d", size), sizes: func() int { return size }})
+	}
+	for _, sp := range splits {
+		got := make([]nids.Verdict, n)
+		for lo := 0; lo < n; {
+			hi := lo + sp.sizes()
+			if hi > n {
+				hi = n
+			}
+			logits := eng.Forward(x[lo*f:hi*f], hi-lo)
+			for k, v := range logits {
+				if w := want[lo*classes+k]; math.Float32bits(v) != math.Float32bits(w) {
+					t.Fatalf("%s: record %d class %d logit %v, whole batch gave %v", sp.name, lo+k/classes, k%classes, v, w)
+				}
+			}
+			det.DetectBatch(recs[lo:hi], got[lo:hi])
+			lo = hi
+		}
+		for i := range got {
+			if got[i] != wantV[i] {
+				t.Fatalf("%s: record %d verdict %+v, whole batch gave %+v", sp.name, i, got[i], wantV[i])
+			}
+		}
 	}
 }
 

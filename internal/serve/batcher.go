@@ -32,14 +32,13 @@ type item struct {
 	trace      *obs.Trace
 }
 
-// flushedBatch is one cut batch plus its assembly timing: openedAt is when
-// the dispatcher received the batch's first record, flushedAt when the
-// batch was cut (MaxBatch reached or MaxWait expired). The difference is
-// the batch_assembly stage.
+// flushedBatch is one handed-off batch plus the time the dispatcher
+// received its first record. The worker that picks the batch up measures
+// the batch_assembly stage from openedAt to its own pickup, which is the
+// moment of hand-off.
 type flushedBatch struct {
-	items     []item
-	openedAt  time.Time
-	flushedAt time.Time
+	items    []item
+	openedAt time.Time
 }
 
 // shed reports whether this record's deadline ran out (or its request was
@@ -50,20 +49,18 @@ func (it *item) shed() bool {
 
 // batcherConfig tunes the dynamic batcher.
 type batcherConfig struct {
-	// MaxBatch flushes a batch as soon as it holds this many records.
+	// MaxBatch caps how many records one batch holds.
 	MaxBatch int
-	// MaxWait flushes a non-empty batch this long after its first record
-	// arrived, bounding the latency cost of waiting for co-travelers.
-	MaxWait time.Duration
 	// QueueDepth bounds the record queue; enqueues block when it is full
 	// (deliberate backpressure, mirroring nids.Config.QueueDepth).
 	QueueDepth int
 }
 
-// batcher groups individually-enqueued records into batches: a batch is
-// flushed when it reaches MaxBatch records or MaxWait after its first
-// record, whichever comes first. The first record of a batch is never
-// delayed beyond MaxWait, and records already queued never wait at all.
+// batcher groups individually-enqueued records into batches and is work
+// conserving: an open batch is handed to the first free worker at once,
+// and it only grows (up to MaxBatch) while every worker is busy. A record
+// never waits for co-travelers, yet under saturation batches still fill
+// from the records that queue up behind the busy replicas.
 type batcher struct {
 	cfg     batcherConfig
 	in      chan item
@@ -85,7 +82,7 @@ func newBatcher(cfg batcherConfig) *batcher {
 	b := &batcher{
 		cfg:     cfg,
 		in:      make(chan item, cfg.QueueDepth),
-		batches: make(chan flushedBatch, 1),
+		batches: make(chan flushedBatch), // unbuffered: a send is a hand-off to a waiting worker
 		done:    make(chan struct{}),
 	}
 	go b.dispatch()
@@ -172,40 +169,31 @@ func (b *batcher) putSlab(s []item) {
 	b.slabs.Put(&s)
 }
 
-// dispatch is the single goroutine that cuts batches.
+// dispatch is the single goroutine that cuts batches. Once it holds a
+// batch's first record it selects between handing the batch to a waiting
+// worker and appending the next queued record; a full batch only waits
+// for a worker. Closing the queue hands off the open batch and stops.
 func (b *batcher) dispatch() {
 	defer close(b.batches)
 	defer close(b.done)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		first, ok := <-b.in
-		if !ok {
-			return
-		}
-		opened := time.Now()
-		batch := append(b.getSlab(), first)
-		timer.Reset(b.cfg.MaxWait)
-		timerFired := false
+	for first := range b.in {
+		fb := flushedBatch{items: append(b.getSlab(), first), openedAt: time.Now()}
 	fill:
-		for len(batch) < b.cfg.MaxBatch {
+		for {
+			in := b.in
+			if len(fb.items) == b.cfg.MaxBatch {
+				in = nil
+			}
 			select {
-			case it, ok := <-b.in:
+			case b.batches <- fb:
+				break fill
+			case it, ok := <-in:
 				if !ok {
-					b.batches <- flushedBatch{items: batch, openedAt: opened, flushedAt: time.Now()}
+					b.batches <- fb
 					return
 				}
-				batch = append(batch, it)
-			case <-timer.C:
-				timerFired = true
-				break fill
+				fb.items = append(fb.items, it)
 			}
 		}
-		if !timerFired && !timer.Stop() {
-			<-timer.C
-		}
-		b.batches <- flushedBatch{items: batch, openedAt: opened, flushedAt: time.Now()}
 	}
 }

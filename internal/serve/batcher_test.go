@@ -22,10 +22,10 @@ func collectBatches(b *batcher, out chan<- int) {
 	close(out)
 }
 
-// TestBatcherFlushesOnMaxBatch checks that a full queue cuts batches at
-// exactly MaxBatch without waiting for the deadline.
+// TestBatcherFlushesOnMaxBatch checks that no batch ever exceeds MaxBatch
+// and that every record is delivered.
 func TestBatcherFlushesOnMaxBatch(t *testing.T) {
-	b := newBatcher(batcherConfig{MaxBatch: 4, MaxWait: time.Hour, QueueDepth: 64})
+	b := newBatcher(batcherConfig{MaxBatch: 4, QueueDepth: 64})
 	sizes := make(chan int, 16)
 	go collectBatches(b, sizes)
 
@@ -36,13 +36,12 @@ func TestBatcherFlushesOnMaxBatch(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		b.enqueue(item{rec: rec, out: &v, wg: &wg}, true)
 	}
-	// With MaxWait effectively infinite, completion proves MaxBatch flushes.
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("8 records never flushed with MaxBatch=4 (MaxWait=1h)")
+		t.Fatal("8 records never delivered with MaxBatch=4")
 	}
 	b.close()
 	total := 0
@@ -57,10 +56,12 @@ func TestBatcherFlushesOnMaxBatch(t *testing.T) {
 	}
 }
 
-// TestBatcherFlushesOnMaxWait checks that a lone record is flushed by the
-// deadline rather than waiting for co-travelers forever.
-func TestBatcherFlushesOnMaxWait(t *testing.T) {
-	b := newBatcher(batcherConfig{MaxBatch: 1024, MaxWait: 2 * time.Millisecond, QueueDepth: 64})
+// TestBatcherHandsLoneRecordToWaitingWorker checks the work-conserving
+// contract at low load: with a worker waiting, a lone record is handed
+// over at once as a batch of one. There is no timer, and with MaxBatch far
+// above one nothing but the hand-off can deliver it.
+func TestBatcherHandsLoneRecordToWaitingWorker(t *testing.T) {
+	b := newBatcher(batcherConfig{MaxBatch: 1024, QueueDepth: 64})
 	defer b.close()
 	sizes := make(chan int, 4)
 	go collectBatches(b, sizes)
@@ -68,14 +69,135 @@ func TestBatcherFlushesOnMaxWait(t *testing.T) {
 	var wg sync.WaitGroup
 	var v nids.Verdict
 	wg.Add(1)
-	start := time.Now()
 	b.enqueue(item{rec: &data.Record{}, out: &v, wg: &wg}, true)
-	wg.Wait()
-	if waited := time.Since(start); waited > time.Second {
-		t.Fatalf("lone record waited %s, MaxWait is 2ms", waited)
+	select {
+	case n := <-sizes:
+		if n != 1 {
+			t.Fatalf("lone record handed off in a batch of %d", n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("lone record never reached the waiting worker")
 	}
+	wg.Wait()
+}
+
+// TestBatcherMergesWhileWorkerBusy checks the saturation side: while the
+// only worker is busy, queued records merge into one batch capped at
+// MaxBatch (the rest stay queued), and that batch is handed over as soon
+// as the worker frees.
+func TestBatcherMergesWhileWorkerBusy(t *testing.T) {
+	const maxBatch = 4
+	b := newBatcher(batcherConfig{MaxBatch: maxBatch, QueueDepth: 64})
+	sizes := make(chan int, 8)
+	release := make(chan struct{})
+	go func() {
+		busy := true
+		for fb := range b.batches {
+			sizes <- len(fb.items)
+			if busy {
+				<-release
+				busy = false
+			}
+			for i := range fb.items {
+				fb.items[i].wg.Done()
+			}
+			b.putSlab(fb.items)
+		}
+		close(sizes)
+	}()
+
+	var wg sync.WaitGroup
+	var v nids.Verdict
+	rec := &data.Record{}
+	wg.Add(1)
+	b.enqueue(item{rec: rec, out: &v, wg: &wg}, true)
 	if n := <-sizes; n != 1 {
-		t.Fatalf("lone record flushed in a batch of %d", n)
+		t.Fatalf("first batch holds %d records, want the lone first record", n)
+	}
+
+	// The worker now holds the first batch. Of the records queued behind
+	// it, the dispatcher takes exactly MaxBatch and leaves the rest.
+	const queued = maxBatch + 2
+	wg.Add(queued)
+	for i := 0; i < queued; i++ {
+		b.enqueue(item{rec: rec, out: &v, wg: &wg}, true)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for b.queueLen() != queued-maxBatch {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue holds %d records, want %d left behind a full batch", b.queueLen(), queued-maxBatch)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if n := <-sizes; n != maxBatch {
+		t.Fatalf("batch handed to the freed worker holds %d records, want %d", n, maxBatch)
+	}
+	wg.Wait()
+	b.close()
+	total := 1 + maxBatch
+	for n := range sizes {
+		total += n
+	}
+	if total != 1+queued {
+		t.Fatalf("delivered %d records, enqueued %d", total, 1+queued)
+	}
+}
+
+// gateDetector is a BatchDetector whose DetectBatch reports itself on
+// busy and then blocks until release is closed.
+type gateDetector struct {
+	busy    chan struct{}
+	release chan struct{}
+}
+
+func (g *gateDetector) Name() string                     { return "gate" }
+func (g *gateDetector) Detect(*data.Record) nids.Verdict { return nids.Verdict{} }
+func (g *gateDetector) DetectBatch([]*data.Record, []nids.Verdict) {
+	g.busy <- struct{}{}
+	<-g.release
+}
+
+// TestScorerAssemblyIncludesReplicaWait checks that batch_assembly runs
+// to the real hand-off: a batch opened while the only replica is busy
+// records at least the time it then waited for that replica.
+func TestScorerAssemblyIncludesReplicaWait(t *testing.T) {
+	det := &gateDetector{busy: make(chan struct{}, 2), release: make(chan struct{})}
+	sc := &scorer{
+		b:         newBatcher(batcherConfig{MaxBatch: 8, QueueDepth: 8}),
+		detectors: []nids.BatchDetector{det},
+		maxBatch:  8,
+		stages:    newStageMetrics(),
+	}
+	sc.workerWG.Add(1)
+	go sc.worker(0)
+	defer sc.close()
+
+	var wg sync.WaitGroup
+	recs := make([]data.Record, 2)
+	verdicts := make([]nids.Verdict, 2)
+	wg.Add(2)
+	sc.b.enqueue(item{rec: &recs[0], out: &verdicts[0], wg: &wg}, true)
+	<-det.busy // the replica is scoring the first batch
+	sc.b.enqueue(item{rec: &recs[1], out: &verdicts[1], wg: &wg}, true)
+	deadline := time.Now().Add(5 * time.Second)
+	for sc.queueLen() != 0 { // the dispatcher has opened the second batch
+		if time.Now().After(deadline) {
+			t.Fatal("dispatcher never took the second record")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	opened := time.Now()
+	time.Sleep(20 * time.Millisecond)
+	busy := time.Since(opened)
+	close(det.release)
+	wg.Wait()
+
+	if n := sc.stages.assembly.Count(); n != 2 {
+		t.Fatalf("assembly observed %d batches, want 2", n)
+	}
+	if got := sc.stages.assembly.Sum(); got < busy.Seconds() {
+		t.Fatalf("recorded assembly %.6fs is less than the %.6fs the batch waited for the busy replica", got, busy.Seconds())
 	}
 }
 
@@ -83,7 +205,7 @@ func TestBatcherFlushesOnMaxWait(t *testing.T) {
 // array outgrew MaxBatch must not re-enter the pool, while a right-sized
 // slab must.
 func TestPutSlabDropsOversized(t *testing.T) {
-	b := newBatcher(batcherConfig{MaxBatch: 4, MaxWait: time.Hour, QueueDepth: 4})
+	b := newBatcher(batcherConfig{MaxBatch: 4, QueueDepth: 4})
 	defer b.close()
 
 	// A right-sized slab round-trips (cap preserved through put/get).
@@ -107,7 +229,7 @@ func TestPutSlabDropsOversized(t *testing.T) {
 // returns false instead of panicking on the closed channel, in both
 // blocking and non-blocking modes, and close is idempotent.
 func TestBatcherEnqueueAfterCloseRefuses(t *testing.T) {
-	b := newBatcher(batcherConfig{MaxBatch: 4, MaxWait: time.Millisecond, QueueDepth: 4})
+	b := newBatcher(batcherConfig{MaxBatch: 4, QueueDepth: 4})
 	sizes := make(chan int, 4)
 	go collectBatches(b, sizes)
 	b.close()
@@ -124,14 +246,16 @@ func TestBatcherEnqueueAfterCloseRefuses(t *testing.T) {
 }
 
 // TestBatcherCloseFlushesQueued checks the drain path: records enqueued
-// before close are all delivered.
+// before close are all delivered, several batches' worth included, and
+// the drain still respects MaxBatch.
 func TestBatcherCloseFlushesQueued(t *testing.T) {
-	b := newBatcher(batcherConfig{MaxBatch: 8, MaxWait: time.Hour, QueueDepth: 64})
+	const maxBatch, queued = 4, 10
+	b := newBatcher(batcherConfig{MaxBatch: maxBatch, QueueDepth: 64})
 	sizes := make(chan int, 16)
 	var wg sync.WaitGroup
 	var v nids.Verdict
-	wg.Add(5)
-	for i := 0; i < 5; i++ {
+	wg.Add(queued)
+	for i := 0; i < queued; i++ {
 		b.enqueue(item{rec: &data.Record{}, out: &v, wg: &wg}, true)
 	}
 	go collectBatches(b, sizes)
@@ -139,9 +263,12 @@ func TestBatcherCloseFlushesQueued(t *testing.T) {
 	wg.Wait()
 	total := 0
 	for n := range sizes {
+		if n > maxBatch {
+			t.Fatalf("drain cut a batch of %d, MaxBatch is %d", n, maxBatch)
+		}
 		total += n
 	}
-	if total != 5 {
-		t.Fatalf("drain delivered %d of 5 queued records", total)
+	if total != queued {
+		t.Fatalf("drain delivered %d of %d queued records", total, queued)
 	}
 }

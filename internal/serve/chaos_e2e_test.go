@@ -63,7 +63,7 @@ func TestChaosOverloadShedsAndStaysHealthy(t *testing.T) {
 	// slot's capacity is ~100 records/s — 8 closed-loop clients exceed it.
 	inj := &chaos.Injector{}
 	_, ts := newTestServer(t, a, Config{
-		Replicas: 2, MaxBatch: 1, MaxWait: time.Millisecond,
+		Replicas: 2, MaxBatch: 1,
 		QueueDepth: 16, AdmitWatermark: 2, Chaos: inj,
 	})
 	body, _ := json.Marshal(detectBatchRequest{Records: recordsJSON(recs[:1])})
@@ -174,7 +174,7 @@ func TestChaosCorruptArtifactNeverDisturbsLive(t *testing.T) {
 	}
 	a, _, recs := trainTestArtifact(t, "mlp", 29, 1)
 	a2, _, _ := trainTestArtifact(t, "mlp", 31, 1)
-	srv, ts := newTestServer(t, a, Config{Replicas: 1, MaxBatch: 8, MaxWait: time.Millisecond})
+	srv, ts := newTestServer(t, a, Config{Replicas: 1, MaxBatch: 8})
 	liveVersion := srv.Info().Version
 
 	good := saveArtifact(t, a2)

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/registry"
@@ -32,7 +31,7 @@ func openStore(t *testing.T, dir string) *store.Store {
 // and a leaked flusher must not keep appending to a journal a recovered
 // server has since taken over.
 func durableConfig(st *store.Store) Config {
-	return Config{Replicas: 1, MaxBatch: 8, MaxWait: time.Millisecond, Store: st, StatsInterval: -1}
+	return Config{Replicas: 1, MaxBatch: 8, Store: st, StatsInterval: -1}
 }
 
 // crashServer builds a store-backed server whose cleanup closes only the
@@ -247,7 +246,7 @@ func TestPlanDedupeAcrossTags(t *testing.T) {
 	}
 	a1, _, _ := trainTestArtifact(t, "mlp", 26, 2)
 	path := saveArtifact(t, a1)
-	srv, _ := newTestServer(t, a1, Config{Replicas: 1, MaxBatch: 8, MaxWait: time.Millisecond})
+	srv, _ := newTestServer(t, a1, Config{Replicas: 1, MaxBatch: 8})
 
 	// A fresh decode of the same bytes: same version, different pointer.
 	dup, err := LoadArtifactFile(path)
@@ -378,7 +377,7 @@ func TestReadyzDrain(t *testing.T) {
 		t.Skip("trains a model")
 	}
 	a, _, _ := trainTestArtifact(t, "mlp", 31, 2)
-	srv, ts := newTestServer(t, a, Config{Replicas: 1, MaxBatch: 8, MaxWait: time.Millisecond})
+	srv, ts := newTestServer(t, a, Config{Replicas: 1, MaxBatch: 8})
 
 	if code, body := getStatus(t, ts.URL+"/readyz"); code != http.StatusOK || !strings.Contains(body, "ready") {
 		t.Fatalf("/readyz = %d %q, want 200 ready", code, body)

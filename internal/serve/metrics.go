@@ -66,10 +66,10 @@ func (m *serverMetrics) observeLatency(d time.Duration) {
 // runs with ObsOff.
 type stageMetrics struct {
 	queueWait *obs.Histogram // enqueue → worker pickup (includes assembly + worker wait)
-	assembly  *obs.Histogram // batch open (first record at dispatcher) → flush
+	assembly  *obs.Histogram // batch open (first record at dispatcher) → hand-off to a free replica
 	infer     *obs.Histogram // replica engine run, per batch (includes injected chaos delay)
-	encode    *obs.Histogram // response JSON encode, per request
-	batchSize *obs.Histogram // records per flushed batch
+	encode    *obs.Histogram // response encode, per request (HTTP and wire)
+	batchSize *obs.Histogram // records per handed-off batch
 }
 
 func newStageMetrics() *stageMetrics {
@@ -203,16 +203,16 @@ func (m *serverMetrics) writeProm(w io.Writer, snap promSnapshot) {
 			}
 		}
 		stageHist("pelican_serve_queue_wait_seconds",
-			"Stage: record enqueue to worker pickup (queueing, co-traveler wait, and replica wait).",
+			"Stage: record enqueue to worker pickup (queueing and replica wait).",
 			func(st *stageMetrics) *obs.Histogram { return st.queueWait })
 		stageHist("pelican_serve_batch_assembly_seconds",
-			"Stage: batch open (first record at the dispatcher) to flush.",
+			"Stage: batch open to hand-off to a free replica.",
 			func(st *stageMetrics) *obs.Histogram { return st.assembly })
 		stageHist("pelican_serve_infer_seconds",
 			"Stage: replica engine run per flushed batch (includes any injected chaos delay).",
 			func(st *stageMetrics) *obs.Histogram { return st.infer })
 		stageHist("pelican_serve_encode_seconds",
-			"Stage: response JSON encode per request.",
+			"Stage: response encode per request.",
 			func(st *stageMetrics) *obs.Histogram { return st.encode })
 		stageHist("pelican_serve_batch_size",
 			"Records per flushed batch.",

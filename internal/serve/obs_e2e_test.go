@@ -40,7 +40,7 @@ func TestMetricsExpositionFormat(t *testing.T) {
 		t.Skip("trains a model")
 	}
 	a, _, recs := trainTestArtifact(t, "mlp", 11, 1)
-	_, ts := newTestServer(t, a, Config{Replicas: 1, MaxBatch: 8, MaxWait: time.Millisecond})
+	_, ts := newTestServer(t, a, Config{Replicas: 1, MaxBatch: 8})
 
 	for i := 0; i < 4; i++ {
 		resp, body := postJSON(t, ts.URL+"/v1/detect-batch", detectBatchRequest{Records: recordsJSON(recs)})
@@ -187,7 +187,7 @@ func TestTracingEndToEnd(t *testing.T) {
 	a, _, recs := trainTestArtifact(t, "mlp", 11, 1)
 	inj := &chaos.Injector{}
 	_, ts := newTestServer(t, a, Config{
-		Replicas: 1, MaxBatch: 8, MaxWait: time.Millisecond, Chaos: inj,
+		Replicas: 1, MaxBatch: 8, Chaos: inj,
 	})
 
 	// One batch's worth of records: the stall then lands in a single infer
@@ -322,7 +322,7 @@ func TestObsOff(t *testing.T) {
 	}
 	a, _, recs := trainTestArtifact(t, "mlp", 11, 1)
 	_, ts := newTestServer(t, a, Config{
-		Replicas: 1, MaxBatch: 8, MaxWait: time.Millisecond, ObsOff: true,
+		Replicas: 1, MaxBatch: 8, ObsOff: true,
 	})
 
 	resp, body := postJSON(t, ts.URL+"/v1/detect-batch", detectBatchRequest{Records: recordsJSON(recs)})

@@ -12,8 +12,6 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/data"
-	"repro/internal/nids"
 	"repro/internal/registry"
 )
 
@@ -59,7 +57,7 @@ func TestAdmissionControlFastFails429(t *testing.T) {
 	a, _, recs := trainTestArtifact(t, "mlp", 11, 1)
 	inj := &chaos.Injector{}
 	srv, ts := newTestServer(t, a, Config{
-		Replicas: 1, MaxBatch: 1, MaxWait: time.Millisecond,
+		Replicas: 1, MaxBatch: 1,
 		QueueDepth: 8, AdmitWatermark: 2, Chaos: inj,
 	})
 
@@ -130,7 +128,7 @@ func TestDeadlineExpiredSheds503(t *testing.T) {
 	a, _, recs := trainTestArtifact(t, "mlp", 13, 1)
 	inj := &chaos.Injector{}
 	srv, ts := newTestServer(t, a, Config{
-		Replicas: 1, MaxBatch: 1, MaxWait: time.Millisecond,
+		Replicas: 1, MaxBatch: 1,
 		QueueDepth: 8, Chaos: inj,
 	})
 
@@ -212,7 +210,7 @@ func TestMirrorDropAccountingExact(t *testing.T) {
 	a2, _, _ := trainTestArtifact(t, "mlp", 19, 1)
 	inj := &chaos.Injector{}
 	srv, ts := newTestServer(t, a, Config{
-		Replicas: 2, MaxBatch: 8, MaxWait: time.Millisecond,
+		Replicas: 2, MaxBatch: 8,
 		QueueDepth: 64, MirrorConcurrency: 1, Chaos: inj,
 	})
 	if err := srv.LoadSlot(registry.Shadow, a2); err != nil {
@@ -276,65 +274,4 @@ func TestMirrorDropAccountingExact(t *testing.T) {
 	if agree := shSt.Agreements.Load() + shSt.Disagreements.Load(); agree != mirrored {
 		t.Fatalf("agreements+disagreements = %d, want mirrored %d", agree, mirrored)
 	}
-}
-
-// TestBatcherMaxWaitUnderSlowConsumer is the satellite coverage for flush
-// timing: MaxWait bounds when a batch is cut, independent of how slowly
-// the replica services batches. A record enqueued during a replica's
-// 100ms service pause is cut into its own batch at MaxWait and delivered
-// the moment the replica frees up — it never waits for a co-traveler and
-// never joins the earlier batch.
-func TestBatcherMaxWaitUnderSlowConsumer(t *testing.T) {
-	b := newBatcher(batcherConfig{MaxBatch: 1024, MaxWait: 5 * time.Millisecond, QueueDepth: 64})
-	defer b.close()
-
-	type delivery struct {
-		at   time.Time
-		size int
-	}
-	deliveries := make(chan delivery, 4)
-	go func() {
-		for fb := range b.batches {
-			batch := fb.items
-			deliveries <- delivery{at: time.Now(), size: len(batch)}
-			time.Sleep(100 * time.Millisecond) // slow replica
-			for i := range batch {
-				batch[i].wg.Done()
-			}
-			b.putSlab(batch)
-		}
-		close(deliveries)
-	}()
-
-	var wg sync.WaitGroup
-	var v1, v2 nids.Verdict
-	wg.Add(2)
-	start := time.Now()
-	b.enqueue(item{rec: &data.Record{}, out: &v1, wg: &wg}, true)
-
-	first := <-deliveries
-	if first.size != 1 {
-		t.Fatalf("first batch holds %d records, want the lone first record", first.size)
-	}
-	if waited := first.at.Sub(start); waited > time.Second {
-		t.Fatalf("first batch cut after %v; MaxWait is 5ms", waited)
-	}
-
-	// The replica is now mid-service. A record arriving here must be cut
-	// at MaxWait — bounded by flush policy, not by the 100ms service time
-	// plus another wait.
-	enq := time.Now()
-	b.enqueue(item{rec: &data.Record{}, out: &v2, wg: &wg}, true)
-	second := <-deliveries
-	if second.size != 1 {
-		t.Fatalf("second batch holds %d records, want 1", second.size)
-	}
-	// Delivered as soon as the replica frees up (~100ms after the first
-	// delivery): the cut happened at MaxWait and the batch sat ready in the
-	// hand-off channel. What it must NOT cost is service time on top of a
-	// fresh MaxBatch wait — bound it well under 2 service periods.
-	if waited := second.at.Sub(enq); waited > 150*time.Millisecond {
-		t.Fatalf("second record delivered %v after enqueue; MaxWait=5ms + one 100ms service pause should bound it", waited)
-	}
-	wg.Wait()
 }

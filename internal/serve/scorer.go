@@ -87,7 +87,7 @@ func newScorer(a *Artifact, cfg Config, gm *serverMetrics) (*scorer, error) {
 		}
 		sc.detectors = append(sc.detectors, det)
 	}
-	sc.b = newBatcher(batcherConfig{MaxBatch: cfg.MaxBatch, MaxWait: cfg.MaxWait, QueueDepth: cfg.QueueDepth})
+	sc.b = newBatcher(batcherConfig{MaxBatch: cfg.MaxBatch, QueueDepth: cfg.QueueDepth})
 	for i := 0; i < cfg.Replicas; i++ {
 		sc.workerWG.Add(1)
 		go sc.worker(i)
@@ -131,8 +131,10 @@ func (sc *scorer) worker(i int) {
 		st := sc.stages
 		var pickup time.Time
 		if st != nil {
+			// The pickup is the hand-off: the batch assembled until a worker
+			// was free to take it.
 			pickup = time.Now()
-			st.assembly.ObserveDuration(fb.flushedAt.Sub(fb.openedAt))
+			st.assembly.ObserveDuration(pickup.Sub(fb.openedAt))
 			st.batchSize.Observe(float64(len(batch)))
 		}
 		recs, live, aggs = recs[:0], live[:0], aggs[:0]
@@ -206,7 +208,7 @@ func (sc *scorer) worker(i int) {
 			for k := range aggs {
 				a := &aggs[k]
 				a.tr.Span("queue_wait", a.firstEnq, pickup.Sub(a.firstEnq))
-				a.tr.Span("batch_assembly", fb.openedAt, fb.flushedAt.Sub(fb.openedAt), "batch", batchSize)
+				a.tr.Span("batch_assembly", fb.openedAt, pickup.Sub(fb.openedAt), "batch", batchSize)
 				a.tr.Span("infer", inferStart, inferDur, attrs...)
 			}
 			for _, it := range live {

@@ -30,11 +30,8 @@ type Config struct {
 	// workers) per model slot. Each replica owns its network buffers and
 	// lock, so concurrent batches never contend on one mutex. Default 2.
 	Replicas int
-	// MaxBatch is the dynamic batcher's flush size. Default 32.
+	// MaxBatch caps the records in one dynamic batch. Default 32.
 	MaxBatch int
-	// MaxWait is the dynamic batcher's flush deadline: a batch never waits
-	// longer than this for co-travelers. Default 2ms.
-	MaxWait time.Duration
 	// QueueDepth bounds each slot's record queue; requests block
 	// (backpressure) when it fills. Default 1024.
 	QueueDepth int
@@ -124,9 +121,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
@@ -954,7 +948,6 @@ type ModelInfo struct {
 	ClassNames      []string `json:"class_names"`
 	Replicas        int      `json:"replicas"`
 	MaxBatch        int      `json:"max_batch"`
-	MaxWaitMS       float64  `json:"max_wait_ms"`
 	LoadedAt        string   `json:"loaded_at"`
 }
 
@@ -1006,7 +999,6 @@ func (s *Server) infoFor(tag string, si *slotInstance) ModelInfo {
 		ClassNames: si.artifact.Schema.ClassNames,
 		Replicas:   s.cfg.Replicas,
 		MaxBatch:   s.cfg.MaxBatch,
-		MaxWaitMS:  float64(s.cfg.MaxWait) / float64(time.Millisecond),
 		LoadedAt:   si.loadedAt.UTC().Format(time.RFC3339),
 	}
 	if tag == registry.Live {

@@ -71,7 +71,7 @@ func TestServerMatchesInProcessDetector(t *testing.T) {
 		t.Skip("trains a model")
 	}
 	a, orig, recs := trainTestArtifact(t, "mlp", 11, 2)
-	_, ts := newTestServer(t, a, Config{Replicas: 2, MaxBatch: 8, MaxWait: time.Millisecond})
+	_, ts := newTestServer(t, a, Config{Replicas: 2, MaxBatch: 8})
 
 	want := make([]nids.Verdict, len(recs))
 	orig.DetectBatch(recs, want)
@@ -106,7 +106,7 @@ func TestEngineSelection(t *testing.T) {
 
 	verdicts := map[string][]VerdictJSON{}
 	for _, engine := range []string{EngineF32, EngineF64} {
-		srv, ts := newTestServer(t, a, Config{Replicas: 1, MaxBatch: 8, MaxWait: time.Millisecond, Engine: engine})
+		srv, ts := newTestServer(t, a, Config{Replicas: 1, MaxBatch: 8, Engine: engine})
 		if got := srv.Info().Engine; got != engine {
 			t.Fatalf("Info().Engine = %q, configured %q", got, engine)
 		}
@@ -143,7 +143,7 @@ func TestConcurrentClientsPreservePairing(t *testing.T) {
 		t.Skip("trains a model")
 	}
 	a, orig, recs := trainTestArtifact(t, "mlp", 13, 2)
-	_, ts := newTestServer(t, a, Config{Replicas: 3, MaxBatch: 16, MaxWait: 500 * time.Microsecond, QueueDepth: 64})
+	_, ts := newTestServer(t, a, Config{Replicas: 3, MaxBatch: 16, QueueDepth: 64})
 
 	want := make([]nids.Verdict, len(recs))
 	orig.DetectBatch(recs, want)
@@ -228,7 +228,7 @@ func TestHotReloadNeverDropsRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, ts := newTestServer(t, a1, Config{Replicas: 2, MaxBatch: 8, MaxWait: 500 * time.Microsecond})
+	srv, ts := newTestServer(t, a1, Config{Replicas: 2, MaxBatch: 8})
 
 	stop := make(chan struct{})
 	var clientWG sync.WaitGroup
@@ -410,7 +410,7 @@ func TestClientScoreAndRemoteDetector(t *testing.T) {
 		t.Skip("trains a model")
 	}
 	a, orig, recs := trainTestArtifact(t, "mlp", 47, 2)
-	_, ts := newTestServer(t, a, Config{Replicas: 2, MaxBatch: 8, MaxWait: time.Millisecond})
+	_, ts := newTestServer(t, a, Config{Replicas: 2, MaxBatch: 8})
 
 	want := make([]nids.Verdict, len(recs))
 	orig.DetectBatch(recs, want)

@@ -69,7 +69,7 @@ func TestV2RegistryLifecycle(t *testing.T) {
 	a2, _, _ := trainTestArtifact(t, "mlp", 67, 3)
 	p2 := saveArtifact(t, a2)
 
-	srv, ts := newTestServer(t, a1, Config{Replicas: 2, MaxBatch: 8, MaxWait: time.Millisecond})
+	srv, ts := newTestServer(t, a1, Config{Replicas: 2, MaxBatch: 8})
 	c := NewClient(ts.URL)
 
 	// Load the second generation into shadow.
@@ -248,7 +248,7 @@ func TestShadowMirroring(t *testing.T) {
 	}
 	a1, _, recs := trainTestArtifact(t, "mlp", 79, 2)
 	a2, _, _ := trainTestArtifact(t, "mlp", 83, 1)
-	srv, ts := newTestServer(t, a1, Config{Replicas: 2, MaxBatch: 8, MaxWait: time.Millisecond})
+	srv, ts := newTestServer(t, a1, Config{Replicas: 2, MaxBatch: 8})
 	c := NewClient(ts.URL)
 
 	if _, err := c.LoadTag(saveArtifact(t, a2), "shadow"); err != nil {
@@ -320,7 +320,7 @@ func TestClientBackwardCompat(t *testing.T) {
 	a2, _, _ := trainTestArtifact(t, "mlp", 101, 3)
 	p2 := saveArtifact(t, a2)
 
-	_, ts := newTestServer(t, a1, Config{Replicas: 2, MaxBatch: 8, MaxWait: time.Millisecond})
+	_, ts := newTestServer(t, a1, Config{Replicas: 2, MaxBatch: 8})
 	c := NewClient(ts.URL)
 
 	want := make([]nids.Verdict, len(recs))
@@ -405,7 +405,7 @@ func TestPromoteRollbackUnderConcurrentScoring(t *testing.T) {
 	orig1.DetectBatch(recs, want1)
 	orig2.DetectBatch(recs, want2)
 
-	srv, ts := newTestServer(t, a1, Config{Replicas: 2, MaxBatch: 8, MaxWait: 500 * time.Microsecond, QueueDepth: 128})
+	srv, ts := newTestServer(t, a1, Config{Replicas: 2, MaxBatch: 8, QueueDepth: 128})
 	c := NewClient(ts.URL)
 
 	stop := make(chan struct{})

@@ -143,7 +143,7 @@ func TestWireMatchesHTTPPlane(t *testing.T) {
 		t.Skip("trains a model")
 	}
 	a, _, recs := trainTestArtifact(t, "mlp", 11, 2)
-	srv, ts := newTestServer(t, a, Config{Replicas: 2, MaxBatch: 8, MaxWait: time.Millisecond})
+	srv, ts := newTestServer(t, a, Config{Replicas: 2, MaxBatch: 8})
 	addr := startWireListener(t, srv)
 
 	wc := wire.NewClient(addr)
@@ -234,7 +234,7 @@ func TestWirePipelinedOutOfOrder(t *testing.T) {
 		t.Skip("trains a model")
 	}
 	a, orig, recs := trainTestArtifact(t, "mlp", 11, 2)
-	srv, _ := newTestServer(t, a, Config{Replicas: 2, MaxBatch: 8, MaxWait: time.Millisecond})
+	srv, _ := newTestServer(t, a, Config{Replicas: 2, MaxBatch: 8})
 	addr := startWireListener(t, srv)
 
 	want := make([]nids.Verdict, len(recs))
@@ -286,7 +286,7 @@ func TestWireDeadlineExpiredSheds(t *testing.T) {
 	a, _, recs := trainTestArtifact(t, "mlp", 13, 1)
 	inj := &chaos.Injector{}
 	srv, _ := newTestServer(t, a, Config{
-		Replicas: 1, MaxBatch: 1, MaxWait: time.Millisecond,
+		Replicas: 1, MaxBatch: 1,
 		QueueDepth: 8, Chaos: inj,
 	})
 	addr := startWireListener(t, srv)
@@ -332,7 +332,7 @@ func TestWireFingerprintMismatch409(t *testing.T) {
 		t.Skip("trains a model")
 	}
 	a, _, recs := trainTestArtifact(t, "mlp", 11, 1)
-	srv, _ := newTestServer(t, a, Config{Replicas: 1, MaxBatch: 4, MaxWait: time.Millisecond})
+	srv, _ := newTestServer(t, a, Config{Replicas: 1, MaxBatch: 4})
 	addr := startWireListener(t, srv)
 	c := dialWire(t, addr)
 
@@ -361,7 +361,7 @@ func TestWireUnknownTag404(t *testing.T) {
 		t.Skip("trains a model")
 	}
 	a, _, recs := trainTestArtifact(t, "mlp", 11, 1)
-	srv, _ := newTestServer(t, a, Config{Replicas: 1, MaxBatch: 4, MaxWait: time.Millisecond})
+	srv, _ := newTestServer(t, a, Config{Replicas: 1, MaxBatch: 4})
 	addr := startWireListener(t, srv)
 	c := dialWire(t, addr)
 	c.sendScore(t, 3, 0, "nonesuch", recs[:1], nil)
@@ -377,7 +377,7 @@ func TestWireProtocolErrorAnswersAndCloses(t *testing.T) {
 		t.Skip("trains a model")
 	}
 	a, _, _ := trainTestArtifact(t, "mlp", 11, 1)
-	srv, _ := newTestServer(t, a, Config{Replicas: 1, MaxBatch: 4, MaxWait: time.Millisecond})
+	srv, _ := newTestServer(t, a, Config{Replicas: 1, MaxBatch: 4})
 	addr := startWireListener(t, srv)
 
 	nc, err := net.Dial("tcp", addr)
@@ -418,7 +418,7 @@ func TestWireGracefulDrain(t *testing.T) {
 	a, _, recs := trainTestArtifact(t, "mlp", 13, 1)
 	inj := &chaos.Injector{}
 	srv, err := New(a, Config{
-		Replicas: 1, MaxBatch: 1, MaxWait: time.Millisecond,
+		Replicas: 1, MaxBatch: 1,
 		QueueDepth: 8, Chaos: inj,
 	})
 	if err != nil {
@@ -484,7 +484,7 @@ func TestWireClientDrainsToShed(t *testing.T) {
 		t.Skip("trains a model")
 	}
 	a, _, recs := trainTestArtifact(t, "mlp", 11, 1)
-	srv, err := New(a, Config{Replicas: 1, MaxBatch: 4, MaxWait: time.Millisecond})
+	srv, err := New(a, Config{Replicas: 1, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,7 +520,7 @@ func TestWireClientFallsBackToHTTP(t *testing.T) {
 		t.Skip("trains a model")
 	}
 	a, orig, recs := trainTestArtifact(t, "mlp", 11, 2)
-	_, ts := newTestServer(t, a, Config{Replicas: 1, MaxBatch: 8, MaxWait: time.Millisecond})
+	_, ts := newTestServer(t, a, Config{Replicas: 1, MaxBatch: 8})
 
 	httpClient := NewClient(ts.URL)
 	wc := &wire.Client{
